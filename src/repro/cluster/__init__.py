@@ -11,13 +11,14 @@ answer, built from the planes below it rather than beside them:
 * :mod:`repro.cluster.ring` — consistent-hash routing over shard groups
   with virtual nodes (stable: failover moves zero keys);
 * :mod:`repro.cluster.transport` — the message plane: a narrow
-  request/response :class:`Transport` protocol plus the in-process
-  :class:`LocalTransport` (deterministic, fault-injectable — drops,
-  delays, partitions — via the runtime's :class:`FaultInjector`);
-* :mod:`repro.cluster.socket_transport` — the same protocol over real
-  TCP on the runtime's selector substrate (:mod:`repro.runtime.io`):
-  length-prefixed JSON frames, pooled handler dispatch, the identical
-  fault surface, and ``add_route`` for cross-process peers;
+  request/response :class:`Transport` base that owns membership and the
+  fault surface (drops, delays, partitions — via the runtime's
+  :class:`FaultInjector`), plus the in-process, deterministic
+  :class:`LocalTransport`;
+* :mod:`repro.cluster.socket_transport` — the same base delivering over
+  real TCP on the runtime's selector substrate (:mod:`repro.runtime.io`):
+  length-prefixed JSON frames, pooled handler dispatch, and
+  ``add_route`` for cross-process peers;
 * :mod:`repro.cluster.node` — a shard replica: the PR3
   :class:`~repro.bus.SegmentLog` as the replication stream, leader →
   follower frame shipping with CRC-checked apply and checkpointed

@@ -32,11 +32,11 @@ the loop thread — because they nest: a leader's ``put`` issues
 ``replicate`` requests through this same transport, and the loop must
 stay free to carry them.
 
-Fault surface parity: :meth:`partition`/:meth:`heal`/:meth:`set_fault`
-and the ``requests``/``unreachable``/``dropped`` counters behave as on
-:class:`LocalTransport` (enforced client-side, before any bytes move),
-so the replication/failover suites parameterize over both transports
-unchanged.
+Fault surface: :meth:`partition`/:meth:`heal`/:meth:`set_fault` and the
+``requests``/``unreachable``/``dropped`` counters come from the shared
+:class:`~repro.cluster.transport.Transport` base (enforced client-side,
+before any bytes move), so the replication/failover suites parameterize
+over both transports unchanged.
 
 Multi-process reach: a transport only *serves* the node ids registered
 with it, but :meth:`add_route` maps a remote node id to another
@@ -54,17 +54,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import repro.errors as errors
-from repro.errors import (
-    ClusterError,
-    NodeUnreachableError,
-    TransientStoreError,
-    ValidationError,
-)
-from repro.runtime import Counter, FaultInjector, FaultPolicy, MetricsRegistry
+from repro.errors import ClusterError, NodeUnreachableError, ValidationError
+from repro.runtime import MetricsRegistry
 from repro.runtime.io import Connection, FrameBuffer, IoLoop, length_prefix
 from repro.runtime.lifecycle import Service, ServiceState
 
-from repro.cluster.transport import Handler, Message
+from repro.cluster.transport import Handler, Message, Transport
 
 _B64_KEY = "__b64__"
 
@@ -107,8 +102,8 @@ def _exception_for(class_name: str, message: str) -> BaseException:
     return ClusterError(f"{class_name}: {message}")
 
 
-class SocketTransport(Service):
-    """The :class:`Transport` protocol over real TCP sockets.
+class SocketTransport(Service, Transport):
+    """A :class:`Transport` that delivers over real TCP sockets.
 
     Lazily started: the first ``register``/``request`` brings the
     listener up, so tests can use it exactly like a ``LocalTransport``
@@ -125,7 +120,8 @@ class SocketTransport(Service):
         registry: MetricsRegistry | None = None,
         request_timeout_s: float = 5.0,
     ) -> None:
-        super().__init__(name=name)
+        Service.__init__(self, name=name)
+        Transport.__init__(self)
         self.host = host
         self._requested_port = port
         self.port: int | None = None
@@ -134,17 +130,10 @@ class SocketTransport(Service):
         self._max_workers = max_workers
         self.loop: IoLoop | None = None
         self._pool: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._handlers: dict[str, Handler] = {}
         self._routes: dict[str, tuple[str, int]] = {}
-        self._partitions: set[frozenset[str]] = set()
-        self._injectors: dict[tuple[str | None, str | None], FaultInjector] = {}
         self._tls = threading.local()
         self._client_socks: set[socket.socket] = set()
         self._client_lock = threading.Lock()
-        self.requests = Counter()
-        self.unreachable = Counter()
-        self.dropped = Counter()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -192,63 +181,15 @@ class SocketTransport(Service):
 
     def register(self, node_id: str, handler: Handler) -> None:
         self._ensure_started()
-        with self._lock:
-            self._handlers[node_id] = handler
-
-    def deregister(self, node_id: str) -> None:
-        with self._lock:
-            self._handlers.pop(node_id, None)
-
-    def registered(self) -> list[str]:
-        with self._lock:
-            return sorted(self._handlers)
+        super().register(node_id, handler)
 
     def add_route(self, node_id: str, address: tuple[str, int]) -> None:
         """Point requests for ``node_id`` at another transport's listener."""
         with self._lock:
             self._routes[node_id] = (address[0], int(address[1]))
 
-    # -- fault surface (LocalTransport parity) ---------------------------------
-
-    def partition(self, a: str, b: str) -> None:
-        with self._lock:
-            self._partitions.add(frozenset((a, b)))
-
-    def heal(self, a: str, b: str) -> None:
-        with self._lock:
-            self._partitions.discard(frozenset((a, b)))
-
-    def heal_all(self) -> None:
-        with self._lock:
-            self._partitions.clear()
-
-    def set_fault(
-        self,
-        policy: FaultPolicy,
-        src: str | None = None,
-        dst: str | None = None,
-    ) -> FaultInjector:
-        injector = FaultInjector(policy)
-        with self._lock:
-            self._injectors[(src, dst)] = injector
-        return injector
-
-    def clear_faults(self) -> None:
-        with self._lock:
-            self._injectors.clear()
-
-    def _injector_for(self, src: str, dst: str) -> FaultInjector | None:
-        for key in ((src, dst), (None, dst), (src, None), (None, None)):
-            injector = self._injectors.get(key)
-            if injector is not None:
-                return injector
-        return None
-
-    def reachable(self, src: str, dst: str) -> bool:
-        with self._lock:
-            if frozenset((src, dst)) in self._partitions:
-                return False
-            return dst in self._handlers or dst in self._routes
+    def _has_route(self, node_id: str) -> bool:
+        return node_id in self._routes
 
     # -- the request path (client side) ----------------------------------------
 
@@ -268,31 +209,9 @@ class SocketTransport(Service):
         as :class:`~repro.errors.NodeUnreachableError`.
         """
         self._ensure_started()
-        self.requests.inc()
+        self._admit(src, dst)
         with self._lock:
-            if frozenset((src, dst)) in self._partitions:
-                self.unreachable.inc()
-                raise NodeUnreachableError(f"{src} -> {dst}: link is partitioned")
-            local = dst in self._handlers
-            route = self._routes.get(dst)
-            injector = self._injector_for(src, dst)
-        if not local and route is None:
-            self.unreachable.inc()
-            raise NodeUnreachableError(f"{src} -> {dst}: no such node")
-        if injector is not None:
-            try:
-                injector.inject()
-            except NodeUnreachableError:
-                self.dropped.inc()
-                raise
-            except TransientStoreError as exc:
-                self.dropped.inc()
-                raise NodeUnreachableError(
-                    f"{src} -> {dst}: injected drop ({exc})"
-                ) from exc
-        if route is None:
-            assert self.port is not None
-            route = (self.host, self.port)
+            route = self._routes.get(dst, (self.host, self.port))
         frame = length_prefix(
             json.dumps(
                 {
@@ -457,13 +376,6 @@ class SocketTransport(Service):
     # -- introspection ---------------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
-        with self._lock:
-            partitions = sorted(tuple(sorted(p)) for p in self._partitions)
-        return {
-            "nodes": self.registered(),
-            "requests": self.requests.value,
-            "unreachable": self.unreachable.value,
-            "dropped": self.dropped.value,
-            "partitions": partitions,
-            "address": (self.host, self.port),
-        }
+        record = super().snapshot()
+        record["address"] = (self.host, self.port)
+        return record

@@ -166,7 +166,9 @@ class FeatureClient:
     ) -> dict:
         """One logical request: attempts until success, terminal error, or
         the shared deadline runs out."""
-        deadline = Deadline.after(deadline_s or self.config.default_deadline_s)
+        deadline = Deadline.after(
+            self.config.default_deadline_s if deadline_s is None else deadline_s
+        )
         attempt = 0
         last_exc: BaseException | None = None
         while True:

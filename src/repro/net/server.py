@@ -96,6 +96,18 @@ from repro.runtime.io import Connection, IoLoop, Listener
 from repro.runtime.lifecycle import LifecycleError
 from repro.serving import FreshnessPolicy
 
+#: Seconds held back from a request's deadline for the gateway call: the
+#: time the answer needs to cross the loop and the wire back to the
+#: client. Each hop answers within its budget minus this margin, so a
+#: degraded answer reaches a client that is still waiting for it.
+RESPONSE_MARGIN_S = 0.03
+
+
+def _forward_budget(deadline: Deadline) -> float:
+    """The budget the gateway gets: what is left minus the margin
+    (``0.0`` when none is left — the gateway reads that as expired)."""
+    return max(deadline.remaining() - RESPONSE_MARGIN_S, 0.0)
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -582,7 +594,7 @@ class FeatureServer(Service):
             namespace,
             entity_id,
             policy=policy,
-            deadline_s=max(deadline.remaining(), 0.0),
+            deadline_s=_forward_budget(deadline),
         )
         return self._respond(
             exchange,
@@ -604,7 +616,7 @@ class FeatureServer(Service):
             namespace,
             [self._parse_entity_id(e) for e in entity_ids],
             policy=policy,
-            deadline_s=max(deadline.remaining(), 0.0),
+            deadline_s=_forward_budget(deadline),
         )
         return self._respond(
             exchange, 200, {"namespace": namespace, "features": values}
@@ -648,7 +660,7 @@ class FeatureServer(Service):
             [float(v) for v in query_vector],
             k=k,
             version=int(version) if version is not None else None,
-            deadline_s=max(deadline.remaining(), 0.0),
+            deadline_s=_forward_budget(deadline),
         )
         return self._respond(
             exchange, 200, {"name": name, **search_result_payload(result)}

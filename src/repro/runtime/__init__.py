@@ -13,6 +13,8 @@ that substrate is:
 * :mod:`repro.runtime.telemetry` — thread-safe :class:`Counter` /
   :class:`Gauge` / :class:`LatencyHistogram` primitives behind one
   :class:`MetricsRegistry` with JSON and Prometheus-text exporters;
+* :mod:`repro.runtime.batching` — :class:`Batcher` (the queue-and-drain
+  worker pool under the serving and vector micro-batchers);
 * :mod:`repro.runtime.resilience` — :class:`FaultPolicy` +
   :class:`FaultInjector` (seeded fault rehearsal), :class:`Deadline`,
   :class:`RetryPolicy` and :func:`retry_call`.
@@ -22,6 +24,7 @@ package imports nothing above it — only the stdlib, ``repro.errors``
 and ``repro.clock``. Every plane imports *down* into it.
 """
 
+from repro.runtime.batching import Batcher
 from repro.runtime.lifecycle import (
     LifecycleError,
     PeriodicTask,
@@ -47,6 +50,7 @@ from repro.runtime.telemetry import (
 )
 
 __all__ = [
+    "Batcher",
     "Counter",
     "Deadline",
     "FaultInjector",

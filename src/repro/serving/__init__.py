@@ -12,7 +12,8 @@ features *and* embeddings to deployed models. This package is that tier:
   lookups into batched store reads;
 * :mod:`repro.serving.faults` — fault-injecting store wrapper (latency,
   timeouts, transient errors) the robustness machinery is tested against;
-* :mod:`repro.serving.metrics` — latency histograms, counters, gauges;
+* :mod:`repro.serving.metrics` — per-endpoint serving metrics over the
+  runtime registry;
 * :mod:`repro.serving.loadgen` — closed-loop Zipfian load generation.
 """
 
@@ -27,29 +28,19 @@ from repro.serving.cache import (
     LookupStatus,
     ReadThroughCache,
 )
-from repro.serving.faults import FaultInjectingOnlineStore, FaultPolicy
+from repro.serving.faults import FaultInjectingOnlineStore
 from repro.serving.gateway import EnrichResult, GatewayConfig, ServingGateway
 from repro.serving.loadgen import LoadConfig, LoadReport, run_closed_loop
-from repro.serving.metrics import (
-    Counter,
-    EndpointMetrics,
-    Gauge,
-    LatencyHistogram,
-    ServingMetrics,
-)
+from repro.serving.metrics import EndpointMetrics, ServingMetrics
 
 __all__ = [
     "CacheEntry",
     "CacheStats",
-    "Counter",
     "EndpointMetrics",
     "EnrichResult",
     "FaultInjectingOnlineStore",
-    "FaultPolicy",
     "FreshnessPolicy",
-    "Gauge",
     "GatewayConfig",
-    "LatencyHistogram",
     "LoadConfig",
     "LoadReport",
     "LookupStatus",

@@ -5,32 +5,20 @@ dies by batched, cache-friendly lookup paths; the same trick applies to a
 feature store's online tier. Many concurrent callers each want one key —
 issuing one store round trip per key pays the per-call overhead (lock
 acquisition here; a network hop against a real Redis/Cassandra tier) once
-*per key*. The micro-batcher puts requests on a queue; a small bounded
-worker pool drains the queue in batches of up to ``max_batch_size``
-(waiting at most ``max_wait_s`` for stragglers), groups them by
-``(namespace, policy)`` and issues one ``read_many`` per group, paying the
-per-call overhead once *per batch*.
+*per key*. The micro-batcher is a :class:`repro.runtime.Batcher` that
+groups queued lookups by ``(namespace, policy)`` and issues one
+``read_many`` per group, paying the per-call overhead once *per batch*.
 
 Callers block on a :class:`concurrent.futures.Future`, which also gives
 the gateway its per-request deadline (``future.result(timeout=...)``).
-
-The batcher is a :class:`repro.runtime.Service`: the worker pool starts
-in the constructor (the historical contract), ``stop()``/``close()`` are
-idempotent and safe while requests are in flight (queued work drains
-before the workers exit), and the lifecycle state machine is shared with
-every other plane.
 """
 
 from __future__ import annotations
 
-import queue
-import time
 from collections.abc import Callable
 from concurrent.futures import Future
-from dataclasses import dataclass
 
-from repro.errors import ValidationError
-from repro.runtime import Counter, LifecycleError, Service
+from repro.runtime import Batcher
 from repro.storage.online import FreshnessPolicy
 
 ReadManyFn = Callable[
@@ -38,26 +26,14 @@ ReadManyFn = Callable[
 ]
 
 
-@dataclass
-class _Request:
-    namespace: str
-    entity_id: int
-    policy: FreshnessPolicy
-    future: Future
-
-
-_STOP = object()
-
-
-class MicroBatcher(Service):
-    """Queue + bounded worker pool that batches point reads.
+class MicroBatcher(Batcher):
+    """Batch point reads through ``read_many``.
 
     ``read_many`` is the backing batched read (typically the online
-    store's — or its fault-injecting wrapper's — ``read_many``). Workers
-    are daemon threads owned by the service; call :meth:`stop` (or use
-    the gateway as a context manager) for an orderly shutdown. Requests
-    already queued when ``stop()`` lands are completed before the pool
-    exits — the stop sentinel enqueues *behind* them.
+    store's — or its fault-injecting wrapper's — ``read_many``). The
+    worker pool starts in the constructor; call :meth:`stop` (or use the
+    gateway as a context manager) for an orderly shutdown that completes
+    every request already queued.
     """
 
     def __init__(
@@ -67,31 +43,8 @@ class MicroBatcher(Service):
         max_wait_s: float = 0.001,
         n_workers: int = 2,
     ) -> None:
-        if max_batch_size < 1:
-            raise ValidationError(f"max_batch_size must be >= 1 ({max_batch_size=})")
-        if max_wait_s < 0:
-            raise ValidationError(f"max_wait_s must be >= 0 ({max_wait_s=})")
-        if n_workers < 1:
-            raise ValidationError(f"n_workers must be >= 1 ({n_workers=})")
-        super().__init__(name="microbatcher")
         self._read_many = read_many
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self.n_workers = n_workers
-        self._queue: queue.Queue = queue.Queue()
-        self.batches = Counter()
-        self.batched_requests = Counter()
-        self.start()  # historical contract: constructed == running
-
-    def _on_start(self) -> None:
-        for i in range(self.n_workers):
-            self._spawn(self._worker_loop, name=f"microbatch-{i}")
-
-    def _on_stop(self) -> None:
-        self._queue.put(_STOP)
-        self._join_workers()
-
-    # -- client side ----------------------------------------------------------
+        super().__init__("microbatcher", max_batch_size, max_wait_s, n_workers)
 
     def submit(
         self,
@@ -99,81 +52,11 @@ class MicroBatcher(Service):
         entity_id: int,
         policy: FreshnessPolicy = FreshnessPolicy.SERVE_ANYWAY,
     ) -> Future:
-        """Enqueue one point lookup; resolve via the returned future.
+        """Enqueue one point lookup; resolve via the returned future."""
+        return self._submit((namespace, policy), entity_id)
 
-        The running-check and the enqueue happen under the lifecycle
-        lock: a request either lands ahead of the stop sentinel (and is
-        served during the drain) or is rejected — it can never slip in
-        behind the sentinel and strand its future forever.
-        """
-        with self._state_lock:
-            if not self.running:
-                raise LifecycleError("batcher is stopped")
-            future: Future = Future()
-            self._queue.put(_Request(namespace, entity_id, policy, future))
-        return future
-
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
-    def mean_batch_size(self) -> float:
-        batches = self.batches.value
-        return self.batched_requests.value / batches if batches else 0.0
-
-    def health(self) -> dict[str, object]:
-        record = super().health()
-        record["queue_depth"] = self.queue_depth()
-        record["batches"] = self.batches.value
-        return record
-
-    # -- worker side ----------------------------------------------------------
-
-    def _collect_batch(self, first: _Request) -> list[_Request]:
-        batch = [first]
-        deadline = time.monotonic() + self.max_wait_s
-        while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
-            try:
-                # Even with no wait budget left, drain anything already
-                # queued — coalescing backlog is free.
-                item = self._queue.get(
-                    block=remaining > 0, timeout=max(remaining, 0) or None
-                )
-            except queue.Empty:
-                break
-            if item is _STOP:
-                self._queue.put(_STOP)  # let sibling workers see it too
-                break
-            batch.append(item)
-        return batch
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                self._queue.put(_STOP)
-                return
-            batch = self._collect_batch(item)
-            self.batches.inc()
-            self.batched_requests.inc(len(batch))
-            self._execute(batch)
-
-    def _execute(self, batch: list[_Request]) -> None:
-        groups: dict[tuple[str, FreshnessPolicy], list[_Request]] = {}
-        for request in batch:
-            groups.setdefault((request.namespace, request.policy), []).append(
-                request
-            )
-        for (namespace, policy), requests in groups.items():
-            try:
-                values = self._read_many(
-                    namespace, [r.entity_id for r in requests], policy
-                )
-            except BaseException as exc:  # noqa: BLE001 - forwarded to callers
-                for request in requests:
-                    if not request.future.cancelled():
-                        request.future.set_exception(exc)
-                continue
-            for request, value in zip(requests, values):
-                if not request.future.cancelled():
-                    request.future.set_result(value)
+    def _run_group(
+        self, key: tuple[str, FreshnessPolicy], entity_ids: list[int]
+    ) -> list[dict[str, object] | None]:
+        namespace, policy = key
+        return self._read_many(namespace, entity_ids, policy)

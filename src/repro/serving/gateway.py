@@ -206,6 +206,12 @@ class ServingGateway(Service):
             if self.batcher is not None:
                 self.metrics.queue_depth.set(self.batcher.queue_depth())
 
+    def _attempt(self, deadline_s: float | None) -> _Attempt:
+        """``None`` means the default budget; ``0.0`` is already spent."""
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        return _Attempt(deadline=Deadline.after(deadline_s))
+
     def _cache_lookup(
         self, key, metrics: EndpointMetrics
     ) -> tuple[bool, CacheEntry | None]:
@@ -305,9 +311,7 @@ class ServingGateway(Service):
         fresh, entry = self._cache_lookup(key, metrics)
         if fresh:
             return entry.value, False  # type: ignore[union-attr]
-        state = _Attempt(
-            deadline=Deadline.after(deadline_s or self.config.default_deadline_s)
-        )
+        state = self._attempt(deadline_s)
         value = self._read_with_retries(namespace, entity_id, policy, state, metrics)
         if value is _EXHAUSTED:
             return self._degrade(policy, entry, metrics, state), True
@@ -351,11 +355,7 @@ class ServingGateway(Service):
                     stale[position] = entry
             if not missing:
                 return out
-            state = _Attempt(
-                deadline=Deadline.after(
-                    deadline_s or self.config.default_deadline_s
-                )
-            )
+            state = self._attempt(deadline_s)
             missing_ids = [entity_ids[p] for p in missing]
             values = self._batch_read_with_retries(
                 namespace, missing_ids, policy, state, metrics

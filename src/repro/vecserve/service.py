@@ -28,17 +28,15 @@ per served ``(embedding_name, version)`` table and offers:
   mirrored into an attached serving-metrics facade and rendered by
   :func:`repro.monitoring.dashboard.vector_section`.
 
-Both the service and its query batcher are
-:class:`repro.runtime.Service` instances: idempotent ``stop()``/
+The service is a :class:`repro.runtime.Service` and its query batcher
+a :class:`repro.runtime.Batcher`: idempotent ``stop()``/
 ``close()``, a shared state machine, and auto-compaction running on a
 :class:`repro.runtime.PeriodicTask` instead of a hand-rolled thread.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
@@ -54,7 +52,7 @@ from repro.index import (
     LSHIndex,
 )
 from repro.runtime import (
-    Counter,
+    Batcher,
     Deadline,
     MetricsRegistry,
     PeriodicTask,
@@ -88,34 +86,14 @@ class _ServedTable:
     recall: RecallMonitor
 
 
-@dataclass
-class _QueryRequest:
-    key: tuple[str, int]
-    k: int
-    query: np.ndarray
-    future: Future
-    #: the submitter's remaining latency budget; the batch it lands in is
-    #: bounded by the *tightest* member so one caller's deadline is never
-    #: silently loosened by co-batched traffic
-    deadline: Deadline | None = None
-
-
-_STOP = object()
-
-
-class VectorQueryBatcher(Service):
+class VectorQueryBatcher(Batcher):
     """Coalesce concurrent single-vector queries into shard-batched calls.
 
-    Same queue-and-drain shape as the feature
-    :class:`~repro.serving.batcher.MicroBatcher`: callers enqueue and
-    block on a future; a worker drains up to ``max_batch_size`` requests
-    (waiting ``max_wait_s`` for stragglers), groups them by
-    ``(table, k)`` and issues one
-    :meth:`~repro.vecserve.shards.ShardedVectorIndex.search_batch` per
-    group — paying the scatter fan-out once per batch instead of once
-    per query. A :class:`repro.runtime.Service` with the historical
-    constructed-== -running contract; ``stop()``/``close()`` are
-    idempotent and drain queued queries before the workers exit.
+    A :class:`repro.runtime.Batcher` like the feature
+    :class:`~repro.serving.MicroBatcher`: queued queries are grouped by
+    ``(table, k)`` and each group runs as one
+    :meth:`~repro.vecserve.shards.ShardedVectorIndex.search_batch` —
+    paying the scatter fan-out once per batch instead of once per query.
     """
 
     def __init__(
@@ -125,29 +103,10 @@ class VectorQueryBatcher(Service):
         max_wait_s: float = 0.0005,
         n_workers: int = 2,
     ) -> None:
-        if max_batch_size < 1:
-            raise ValidationError(f"max_batch_size must be >= 1 ({max_batch_size=})")
-        if max_wait_s < 0:
-            raise ValidationError(f"max_wait_s must be >= 0 ({max_wait_s=})")
-        if n_workers < 1:
-            raise ValidationError(f"n_workers must be >= 1 ({n_workers=})")
-        super().__init__(name="vector-query-batcher")
         self._run_batch = run_batch
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self.n_workers = n_workers
-        self._queue: queue.Queue = queue.Queue()
-        self.batches = Counter()
-        self.batched_requests = Counter()
-        self.start()  # historical contract: constructed == running
-
-    def _on_start(self) -> None:
-        for i in range(self.n_workers):
-            self._spawn(self._worker_loop, name=f"vecbatch-{i}")
-
-    def _on_stop(self) -> None:
-        self._queue.put(_STOP)
-        self._join_workers()
+        super().__init__(
+            "vector-query-batcher", max_batch_size, max_wait_s, n_workers
+        )
 
     def submit(
         self,
@@ -156,79 +115,26 @@ class VectorQueryBatcher(Service):
         k: int,
         deadline: Deadline | None = None,
     ) -> Future:
-        # Check + enqueue under the lifecycle lock: the request either
-        # precedes the stop sentinel (served during the drain) or is
-        # rejected — never stranded behind it with a forever-pending
-        # future.
-        with self._state_lock:
-            self._check_running("submit queries")
-            future: Future = Future()
-            self._queue.put(_QueryRequest(key, k, query, future, deadline))
-        return future
+        """Enqueue one query; ``deadline`` is the submitter's remaining
+        budget, and the group it lands in is bounded by its *tightest*
+        member so co-batched traffic never loosens a caller's deadline."""
+        return self._submit((key, k), (query, deadline))
 
-    def mean_batch_size(self) -> float:
-        batches = self.batches.value
-        return self.batched_requests.value / batches if batches else 0.0
-
-    def health(self) -> dict[str, object]:
-        record = super().health()
-        record["queue_depth"] = self._queue.qsize()
-        record["batches"] = self.batches.value
-        return record
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                self._queue.put(_STOP)
-                return
-            batch = [item]
-            deadline = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
-                try:
-                    nxt = self._queue.get(
-                        block=remaining > 0, timeout=max(remaining, 0) or None
-                    )
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    self._queue.put(_STOP)
-                    break
-                batch.append(nxt)
-            self.batches.inc()
-            self.batched_requests.inc(len(batch))
-            self._execute(batch)
-
-    def _execute(self, batch: list[_QueryRequest]) -> None:
-        groups: dict[tuple[tuple[str, int], int], list[_QueryRequest]] = {}
-        for request in batch:
-            groups.setdefault((request.key, request.k), []).append(request)
-        for (key, k), requests in groups.items():
-            # The shard fan-out honors the tightest remaining budget in
-            # the group (clamped to ~0 so an already-expired member still
-            # gets a fast partial answer rather than an unbounded scan).
-            budgets = [
-                r.deadline.remaining()
-                for r in requests
-                if r.deadline is not None
-            ]
-            deadline_s = max(min(budgets), 1e-4) if budgets else None
-            try:
-                results = self._run_batch(
-                    key,
-                    np.stack([r.query for r in requests]),
-                    k,
-                    deadline_s=deadline_s,
-                )
-            except BaseException as exc:  # noqa: BLE001 - forwarded to callers
-                for request in requests:
-                    if not request.future.cancelled():
-                        request.future.set_exception(exc)
-                continue
-            for request, result in zip(requests, results):
-                if not request.future.cancelled():
-                    request.future.set_result(result)
+    def _run_group(
+        self,
+        group: tuple[tuple[str, int], int],
+        members: list[tuple[np.ndarray, Deadline | None]],
+    ) -> list[ShardedSearchResult]:
+        key, k = group
+        # Clamped to ~0 so an already-expired member still gets a fast
+        # partial answer rather than an unbounded scan.
+        budgets = [d.remaining() for __, d in members if d is not None]
+        return self._run_batch(
+            key,
+            np.stack([query for query, __ in members]),
+            k,
+            deadline_s=max(min(budgets), 1e-4) if budgets else None,
+        )
 
 
 class VectorService(Service):

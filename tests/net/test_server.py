@@ -11,6 +11,7 @@ wiring.
 import http.client
 import json
 import socket
+import threading
 import time
 
 import numpy as np
@@ -32,9 +33,8 @@ from repro.net import (
     ServerConfig,
     ThrottledError,
 )
-from repro.runtime import RetryPolicy, await_condition
+from repro.runtime import FaultPolicy, RetryPolicy, await_condition
 from repro.serving import FaultInjectingOnlineStore, ServingGateway
-from repro.serving.faults import FaultPolicy
 from repro.storage.online import OnlineStore
 from repro.vecserve import VectorService
 
@@ -351,6 +351,43 @@ class TestDeadlinePropagation:
                 # loaded single-core box
                 assert elapsed < stall_s - 1.0
         finally:
+            server.stop()
+            gateway.stop()
+
+    def test_deadline_holds_under_a_busy_thread(self, stack):
+        """The stalled-store case, repeated while a background thread
+        spins: the degraded answer must still beat the client's own
+        timeout, which the server's response margin pays for."""
+        store, __, __ = stack
+        stall_s = 1.0
+        slow = FaultInjectingOnlineStore(
+            store, FaultPolicy(base_latency_s=stall_s)
+        )
+        gateway = ServingGateway(slow)
+        server = FeatureServer(gateway)
+        server.start()
+        spinning = threading.Event()
+        spinning.set()
+
+        def spin() -> None:
+            while spinning.is_set():
+                sum(range(1000))
+
+        spinner = threading.Thread(target=spin, daemon=True)
+        spinner.start()
+        try:
+            with _client(
+                server, retry=RetryPolicy(max_retries=0)
+            ) as client:
+                for __ in range(10):
+                    start = time.monotonic()
+                    assert client.get_features(
+                        "profile", 1, deadline_s=0.15
+                    ) is None
+                    assert time.monotonic() - start < stall_s / 2
+        finally:
+            spinning.clear()
+            spinner.join(timeout=5.0)
             server.stop()
             gateway.stop()
 

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.index import BruteForceIndex, recall_at_k
 from repro.index.base import SearchResult
-from repro.serving.faults import FaultPolicy
+from repro.runtime import FaultPolicy
 from repro.vecserve.shards import (
     ShardedVectorIndex,
     merge_topk,
